@@ -59,7 +59,7 @@ type check struct {
 	lookahead vtime.Time
 	// window bounds optimism to keep contentious models fast.
 	window vtime.Time
-	// balance, when Enabled, runs every cell with the dynamic load
+	// balance, when dynamic, runs every cell with the dynamic load
 	// balancer on — the migration legs of the sweep.
 	balance core.BalanceConfig
 	// codec, when not Off, runs every cell with the state-codec facet on —
@@ -99,7 +99,7 @@ func skew(part []int, lps int) {
 // aggressiveBalance is the controller tuning for the migration legs: fire
 // often, tolerate little imbalance, move up to two objects per firing.
 var aggressiveBalance = core.BalanceConfig{
-	Enabled:   true,
+	Mode:      core.BalanceDynamic,
 	Period:    2,
 	HighWater: 1.15,
 	LowWater:  1.05,

@@ -50,11 +50,6 @@ func main() {
 
 		partitionMode = flag.String("partition", "", "override the model's object placement: block, rr, greedy (greedy probes a sequential prefix and partitions the measured communication graph)")
 
-		balancePeriod = flag.Int("balance-period", 0, "deprecated: use -balance=dynamic,period=N")
-		balanceHigh   = flag.Float64("balance-high", 0, "deprecated: use -balance=dynamic,high=F")
-		balanceLow    = flag.Float64("balance-low", 0, "deprecated: use -balance=dynamic,low=F")
-		balanceMoves  = flag.Int("balance-moves", 0, "deprecated: use -balance=dynamic,moves=N")
-
 		codecSpec = flag.String("codec", "off", "state-codec facet spec: off, lz, full[,lz], delta[,lz][,full-every=N], dynamic[,lz][,full-every=N][,period=N][,low=F][,high=F]")
 
 		transportFlag = flag.String("transport", "inproc", "transport spec: inproc, or tcp,rank=N,peers=HOST:PORT;HOST:PORT;... [,listen=ADDR][,timeout=DUR] — start every rank of one run with the same peers list and its own rank; rank 0 gathers the full results")
@@ -247,24 +242,9 @@ func main() {
 		fatal(fmt.Errorf("unknown aggregation mode %q", *aggMode))
 	}
 
-	balCfg, err := gowarp.ParseBalanceSpec(balanceSpec.spec)
-	if err != nil {
+	if cfg.Balance, err = gowarp.ParseBalanceSpec(balanceSpec.spec); err != nil {
 		fatal(err)
 	}
-	// The deprecated -balance-* aliases override the spec's fields when set.
-	if *balancePeriod > 0 {
-		balCfg.Period = *balancePeriod
-	}
-	if *balanceHigh > 0 {
-		balCfg.HighWater = *balanceHigh
-	}
-	if *balanceLow > 0 {
-		balCfg.LowWater = *balanceLow
-	}
-	if *balanceMoves > 0 {
-		balCfg.MaxMoves = *balanceMoves
-	}
-	cfg.Balance = balCfg
 
 	if cfg.Codec, err = gowarp.ParseCodecSpec(*codecSpec); err != nil {
 		fatal(err)

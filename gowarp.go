@@ -112,7 +112,8 @@ type (
 // state so rollbacks restore the stream.
 func NewRand(seed uint64) Rand { return model.NewRand(seed) }
 
-// EndOfTime is the virtual time beyond every finite timestamp.
+// EndOfTime is the virtual time beyond every finite timestamp. A run whose
+// end time is EndOfTime stops when the model drains (GVT reaches +inf).
 const EndOfTime = vtime.PosInf
 
 // Configuration types.

@@ -135,7 +135,7 @@ type Options struct {
 	// as the CMB lookahead. It must not exceed the model's true minimum
 	// send delay.
 	Lookahead vtime.Time
-	// Balance, when Enabled, turns on the dynamic load balancer in every
+	// Balance, when dynamic, turns on the dynamic load balancer in every
 	// parallel leg — the migration-on slice of the matrix. Object migration
 	// must never change simulation semantics, so every differential and
 	// invariant check applies unchanged.

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gowarp/internal/comm"
@@ -89,7 +90,14 @@ type lpState struct {
 	st      stats.Counters
 	nulls   int64
 	running bool
-	done    bool // this LP has passed EndTime and said its goodbyes
+	done    bool // this LP has passed EndTime (or the model drained) and said its goodbyes
+
+	// live counts the run's unexecuted events (shared by every LP) plus one
+	// per LP still initializing its objects. Only executing an event creates
+	// one, so zero is final: the model drained and every LP may promise
+	// +inf. Without it a run under an unbounded end time never ends: null
+	// messages raise the bounds by one lookahead per exchange forever.
+	live *atomic.Int64
 }
 
 type objState struct {
@@ -146,6 +154,7 @@ func (c *ctx) Send(to event.ObjectID, delay vtime.Time, kind uint32, payload []b
 	}
 	c.o.seq++
 	c.o.sendSeq++
+	c.lp.live.Add(1)
 	dst := c.lp.lpOf[to]
 	if dst == c.lp.id {
 		c.lp.pending.Push(ev)
@@ -175,7 +184,7 @@ func (lp *lpState) outBound() vtime.Time {
 	if e := lp.pending.PeekMin(); e != nil {
 		min = vtime.Min(min, e.RecvTime)
 	}
-	if min.After(lp.cfg.EndTime) {
+	if min.After(lp.cfg.EndTime) || lp.live.Load() == 0 {
 		// Nothing below the end time will ever be sent again.
 		return vtime.PosInf
 	}
@@ -256,6 +265,7 @@ func (lp *lpState) run() {
 			spin.Spin(lp.cfg.EventCost)
 			c := ctx{lp: lp, o: o, cur: e}
 			o.obj.Execute(&c, o.state, e)
+			lp.live.Add(-1)
 			lp.st.EventsProcessed++
 			lp.st.EventsCommitted++
 			executed = true
@@ -264,14 +274,14 @@ func (lp *lpState) run() {
 
 		lp.shareBounds()
 
-		// Termination: past the end time with nothing executable left and
-		// all peers promising the same.
+		// Termination: past the end time (or drained) with nothing
+		// executable left and all peers promising the same.
 		if !lp.done {
 			next := vtime.PosInf
 			if e := lp.pending.PeekMin(); e != nil {
 				next = e.RecvTime
 			}
-			if next.After(lp.cfg.EndTime) && lp.safeBound().After(lp.cfg.EndTime) {
+			if (next.After(lp.cfg.EndTime) && lp.safeBound().After(lp.cfg.EndTime)) || lp.live.Load() == 0 {
 				lp.done = true
 			}
 		}
@@ -308,6 +318,8 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	numLPs := m.NumLPs()
 	net := comm.NewInProc(numLPs, comm.WithCost(cfg.Cost), comm.WithInboxDepth(cfg.InboxDepth))
 
+	live := new(atomic.Int64)
+	live.Store(int64(numLPs))
 	lps := make([]*lpState, numLPs)
 	for i := range lps {
 		lp := &lpState{
@@ -321,6 +333,7 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 			chanClock: make([]vtime.Time, numLPs),
 			lastNull:  make([]vtime.Time, numLPs),
 			running:   true,
+			live:      live,
 		}
 		for j := range lp.lastNull {
 			lp.lastNull[j] = vtime.NegInf
@@ -353,6 +366,7 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 				c := ctx{lp: lp, o: o}
 				o.obj.Init(&c, o.state)
 			}
+			live.Add(-1)
 			lp.shareBounds()
 			lp.run()
 		}(lp)

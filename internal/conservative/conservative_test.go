@@ -8,6 +8,7 @@ import (
 
 	"gowarp/internal/apps/phold"
 	"gowarp/internal/core"
+	"gowarp/internal/event"
 	"gowarp/internal/model"
 	"gowarp/internal/vtime"
 )
@@ -137,5 +138,64 @@ func TestEventCostCharged(t *testing.T) {
 	}
 	if fast.EventRate() <= 0 {
 		t.Error("non-positive event rate")
+	}
+}
+
+// relayObject forwards a hop counter to its peer, one virtual-time unit
+// later, until the counter runs out: a finite model whose event population
+// drains long before any end time.
+type relayObject struct {
+	name string
+	peer event.ObjectID
+}
+
+type relayState struct{ Hops int64 }
+
+func (s *relayState) Clone() model.State { c := *s; return &c }
+
+func (r *relayObject) Name() string              { return r.name }
+func (r *relayObject) InitialState() model.State { return &relayState{} }
+
+func (r *relayObject) Init(ctx model.Context, st model.State) {
+	if ctx.Self() == 0 {
+		ctx.Send(r.peer, 1, 0, []byte{40})
+	}
+}
+
+func (r *relayObject) Execute(ctx model.Context, st model.State, ev *event.Event) {
+	st.(*relayState).Hops++
+	if left := ev.Payload[0]; left > 0 {
+		ctx.Send(r.peer, 1, 0, []byte{left - 1})
+	}
+}
+
+// TestEndOfTimeDrains runs a draining model under an unbounded end time:
+// nothing past +inf can be "after" it, so termination must also accept a
+// run where every LP has drained and every peer promises +inf. The deadline
+// turns a regression into a failure instead of a hung test binary.
+func TestEndOfTimeDrains(t *testing.T) {
+	m := &model.Model{
+		Objects:   []model.Object{&relayObject{"relay0", 1}, &relayObject{"relay1", 0}},
+		Partition: model.Partition{0, 1},
+	}
+	done := make(chan *Result, 1)
+	errc := make(chan error, 1)
+	go func() {
+		res, err := Run(m, Config{EndTime: vtime.PosInf, Lookahead: 1})
+		if err != nil {
+			errc <- err
+			return
+		}
+		done <- res
+	}()
+	select {
+	case res := <-done:
+		if res.Stats.EventsCommitted != 41 {
+			t.Errorf("committed %d events, want 41", res.Stats.EventsCommitted)
+		}
+	case err := <-errc:
+		t.Fatal(err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("conservative run under an unbounded end time did not return within 10s after the model drained")
 	}
 }

@@ -51,7 +51,7 @@ func (p *pingObject) Execute(ctx model.Context, st model.State, ev *event.Event)
 // network) so the steady-state execute path can be measured in isolation.
 func newAllocHarness() *lpRun {
 	cfg := DefaultConfig(vtime.Time(1) << 40)
-	sh := &shared{rt: route.New([]int{0, 0}), objs: make([]*simObject, 2)}
+	sh := &shared{rt: route.New([]int{0, 0}), objs: make([]*simObject, 2), progress: observe.NewBoard(1)}
 	lp := &lpRun{
 		id:       0,
 		cfg:      &cfg,
@@ -123,7 +123,7 @@ func TestExecuteLoopZeroAlloc(t *testing.T) {
 // TestExecuteLoopZeroAllocObserved re-measures the same steady-state loop
 // with the observation layer attached — a bound trace ring and roughness
 // sampler, exactly what twsim -trace wires up. The LP-side observation cost
-// (LVT store per event, progress stores and depth-histogram adds at GVT)
+// (LVT store per event, depth-histogram adds, progress-board stores at GVT)
 // must stay allocation-free too: observation never buys insight with hot-path
 // garbage.
 func TestExecuteLoopZeroAllocObserved(t *testing.T) {
@@ -132,7 +132,7 @@ func TestExecuteLoopZeroAllocObserved(t *testing.T) {
 	tr.Bind(1, time.Now())
 	lp.tr = tr.LP(0)
 	obs := newTestSampler()
-	obs.Bind(1, tr.System())
+	obs.Bind(lp.k.progress, tr.System())
 	lp.obs = obs
 	step := func() {
 		lp.drainDeferred()
@@ -176,7 +176,7 @@ func TestExecuteLoopZeroAllocAdaptiveOptimism(t *testing.T) {
 	tr.Bind(1, time.Now())
 	lp.tr = tr.LP(0)
 	obs := newTestSampler()
-	obs.Bind(1, tr.System())
+	obs.Bind(lp.k.progress, tr.System())
 	lp.obs = obs
 	optCfg := OptimismConfig{
 		Mode: OptimismAdaptive, Window: 100, Min: 50, Max: 100,

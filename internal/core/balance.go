@@ -2,6 +2,7 @@ package core
 
 import (
 	"gowarp/internal/control"
+	"gowarp/internal/observe"
 	"gowarp/internal/partition"
 	"gowarp/internal/stats"
 )
@@ -9,9 +10,9 @@ import (
 // This file is the load-balancing controller: the <O,I,S,T,P> tuple the
 // paper's framework prescribes, applied to object placement.
 //
-//	O — per-LP committed-event share (processed share before any commits)
-//	    and per-object execution counts, published to a shared load board at
-//	    each GVT application;
+//	O — per-LP committed-event share (processed share before any commits),
+//	    read from the progress board, and per-object execution counts,
+//	    published to the shared load board at each GVT application;
 //	I — the object→LP assignment (the routing table);
 //	S — the model's static partition;
 //	T — a dead-zoned transfer function migrating the best boundary object
@@ -24,13 +25,6 @@ import (
 type loadRecorder struct {
 	exec  []int64          // executions per hosted object since last publish
 	edges map[uint64]int64 // stats.EdgeKey -> events sent between objects
-
-	// Snapshots of the LP counters at the last publish, so publishes carry
-	// deltas without a second set of hot-path increments.
-	lastProcessed  int64
-	lastCommitted  int64
-	lastRolledBack int64
-	lastRollbacks  int64
 }
 
 func newLoadRecorder(objects int) *loadRecorder {
@@ -43,29 +37,21 @@ func newLoadRecorder(objects int) *loadRecorder {
 // publishLoad folds this LP's accumulated deltas into the shared board.
 func (lp *lpRun) publishLoad() {
 	ld := lp.ld
-	st := &lp.st
-	lp.k.board.Publish(lp.id, ld.exec, ld.edges,
-		st.EventsProcessed-ld.lastProcessed,
-		st.EventsCommitted-ld.lastCommitted,
-		st.EventsRolledBack-ld.lastRolledBack,
-		st.Rollbacks-ld.lastRollbacks)
-	for i := range ld.exec {
-		ld.exec[i] = 0
-	}
+	lp.k.load.Publish(ld.exec, ld.edges)
+	clear(ld.exec)
 	clear(ld.edges)
-	ld.lastProcessed = st.EventsProcessed
-	ld.lastCommitted = st.EventsCommitted
-	ld.lastRolledBack = st.EventsRolledBack
-	ld.lastRollbacks = st.Rollbacks
 }
 
 // balancer is the controller state, owned by LP 0.
 type balancer struct {
-	cfg    BalanceConfig
-	tick   *control.Ticker   // P: fires every Period GVT applications
-	dz     *control.DeadZone // T's hysteresis on the imbalance metric
-	base   stats.LoadSample  // start of the current observation window
-	primed bool
+	cfg  BalanceConfig
+	tick *control.Ticker   // P: fires every Period GVT applications
+	dz   *control.DeadZone // T's hysteresis on the imbalance metric
+	// base and baseLPs are the per-object and per-LP observations at the
+	// start of the current window.
+	base    stats.LoadSample
+	baseLPs []observe.Progress
+	primed  bool
 }
 
 func newBalancer(cfg BalanceConfig) *balancer {
@@ -85,18 +71,26 @@ func (lp *lpRun) runBalancer() {
 	if lp.numLPs < 2 || !b.tick.Tick() {
 		return
 	}
-	cur := lp.k.board.Snapshot()
+	cur := lp.k.load.Snapshot()
+	rows := make([]observe.Progress, lp.numLPs)
+	var processed int64
+	for i := range rows {
+		rows[i] = lp.k.progress.Load(i)
+		if b.primed {
+			processed += rows[i].Processed - b.baseLPs[i].Processed
+		}
+	}
 	if !b.primed {
-		b.base, b.primed = cur, true
+		b.base, b.baseLPs, b.primed = cur, rows, true
 		return
 	}
-	win := cur.Sub(b.base)
-	if win.TotalProcessed() < b.cfg.MinSample {
+	if processed < b.cfg.MinSample {
 		return // too thin to act on; extend the window
 	}
-	b.base = cur
+	win := cur.Sub(b.base)
+	imb := imbalanceOf(rows, b.baseLPs)
+	b.base, b.baseLPs = cur, rows
 
-	imb := imbalanceOf(win, lp.numLPs)
 	active := b.dz.Input(imb)
 	var moves []partition.Move
 	if active {
@@ -141,32 +135,26 @@ func (lp *lpRun) runBalancer() {
 	lp.tr.BalanceStep(int64(imb*1000), active, int64(len(moves)))
 }
 
-// imbalanceOf computes the sampled output O: max over mean of per-LP
-// committed events in the window, falling back to processed events while the
-// window saw no commits (early in a run, or under heavy rollback).
-func imbalanceOf(win stats.LoadSample, lps int) float64 {
-	loads := win.Committed
-	var total int64
-	for _, v := range loads {
-		total += v
+// imbalanceOf computes the sampled output O over the window between the
+// progress rows base and cur: max over mean of the per-LP committed events,
+// falling back to processed events while the window saw no commits (early
+// in a run, or under heavy rollback).
+func imbalanceOf(cur, base []observe.Progress) float64 {
+	var committed, processed, peakC, peakP int64
+	for i := range cur {
+		c := cur[i].Committed - base[i].Committed
+		p := cur[i].Processed - base[i].Processed
+		committed, peakC = committed+c, max(peakC, c)
+		processed, peakP = processed+p, max(peakP, p)
 	}
+	total, peak := committed, peakC
 	if total == 0 {
-		loads = win.Processed
-		for _, v := range loads {
-			total += v
-		}
+		total, peak = processed, peakP
 	}
 	if total <= 0 {
 		return 1
 	}
-	mean := float64(total) / float64(lps)
-	max := 0.0
-	for _, v := range loads {
-		if float64(v) > max {
-			max = float64(v)
-		}
-	}
-	return max / mean
+	return float64(peak) / (float64(total) / float64(len(cur)))
 }
 
 // loadOf renders the window's per-object execution counts as vertex weights.

@@ -98,14 +98,17 @@ type Config struct {
 	// a running simulation.
 	Metrics *telemetry.Registry
 
-	// Observe, when non-nil, is the observation sampler: LPs publish their
-	// local virtual times (after each event) and progress counters (at each
-	// GVT application) into its atomic slots, the rollback path feeds its
-	// depth histogram, and its goroutine samples the LVT vector on a
-	// wall-clock period — recording roughness events into the tracer's
-	// system ring and live gauges into Metrics when those are also set.
-	// Nil disables observation at the cost of a pointer comparison per
-	// hook site; observation never changes simulation behavior.
+	// Observe, when non-nil, is the observation sampler. Per-LP progress
+	// does not need it: each LP overwrites its row of the run's progress
+	// board (observe.Board) at every GVT application, and the controllers,
+	// the pool remap, Timeline, Metrics and the sampler all read that row.
+	// The sampler adds the per-event signals: LPs publish their local
+	// virtual times after each event, the rollback path feeds its depth
+	// histogram, and its goroutine samples the LVT vector and the board on
+	// a wall-clock period — recording roughness events into the tracer's
+	// system ring and live gauges into Metrics when those are also set. Nil
+	// costs a pointer comparison per hook site; observation never changes
+	// simulation behavior.
 	Observe *observe.Sampler
 
 	// Audit, when non-nil, checks the Time Warp invariants on-line while the
@@ -164,17 +167,15 @@ func (m BalanceMode) String() string {
 
 // BalanceConfig parameterizes the load-balancing controller as the paper's
 // control tuple: the sampled output O is the per-LP committed-event share
-// published to a load board at each GVT application, the configured item I is
-// the object→LP assignment (the routing table), the initial setting S is the
-// model's static partition, the transfer function T migrates the best
-// boundary object from the most- to the least-loaded LP when the imbalance
-// leaves a dead zone, and the period P is a multiple of the GVT period.
+// read from the progress board each LP overwrites at its GVT applications,
+// the configured item I is the object→LP assignment (the routing table),
+// the initial setting S is the model's static partition, the transfer
+// function T migrates the best boundary object from the most- to the
+// least-loaded LP when the imbalance leaves a dead zone, and the period P is
+// a multiple of the GVT period.
 type BalanceConfig struct {
 	// Mode selects static placement or the dynamic load controller.
 	Mode BalanceMode
-	// Enabled is the pre-facet-API spelling of Mode == BalanceDynamic, kept
-	// as a deprecated alias: setting it selects BalanceDynamic.
-	Enabled bool
 	// Period is the number of GVT applications between controller firings
 	// (the P component; default 8).
 	Period int
@@ -192,17 +193,10 @@ type BalanceConfig struct {
 	MinSample int64
 }
 
-// Dynamic reports whether the dynamic load controller is selected (by Mode
-// or the deprecated Enabled alias).
-func (c BalanceConfig) Dynamic() bool {
-	return c.Mode == BalanceDynamic || c.Enabled
-}
+// Dynamic reports whether the dynamic load controller is selected.
+func (c BalanceConfig) Dynamic() bool { return c.Mode == BalanceDynamic }
 
 func (c BalanceConfig) withDefaults() BalanceConfig {
-	if c.Enabled {
-		c.Mode = BalanceDynamic
-	}
-	c.Enabled = c.Mode == BalanceDynamic
 	if c.Period <= 0 {
 		c.Period = 8
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gowarp/internal/apps/phold"
+	"gowarp/internal/apps/smmp"
 	"gowarp/internal/audit"
 	"gowarp/internal/cancel"
 	"gowarp/internal/comm"
@@ -43,8 +44,9 @@ func testModel(seed uint64) *model.Model {
 // assertMatchesSequential runs m under cfg on the parallel kernel — with the
 // runtime invariant auditor enabled — and checks it commits exactly the
 // events the sequential reference kernel executes, reaches identical final
-// states, and violates no Time Warp invariant along the way.
-func assertMatchesSequential(t *testing.T, m *model.Model, cfg core.Config) {
+// states, and violates no Time Warp invariant along the way. It returns the
+// parallel result for further checks.
+func assertMatchesSequential(t *testing.T, m *model.Model, cfg core.Config) *core.Result {
 	t.Helper()
 	seq, err := core.RunSequential(m, cfg.EndTime, 0)
 	if err != nil {
@@ -74,6 +76,7 @@ func assertMatchesSequential(t *testing.T, m *model.Model, cfg core.Config) {
 		t.Errorf("processed %d < committed %d",
 			par.Stats.EventsProcessed, par.Stats.EventsCommitted)
 	}
+	return par
 }
 
 func TestParallelMatchesSequentialBaseline(t *testing.T) {
@@ -153,6 +156,47 @@ func TestModelDrainsBeforeEndTime(t *testing.T) {
 	}
 	if res.GVT.Before(cfg.EndTime) {
 		t.Errorf("terminated with GVT %s before end time %s", res.GVT, cfg.EndTime)
+	}
+}
+
+// TestEndOfTimeDrains runs a model that stops generating events under an
+// unbounded end time. GVT then reaches +inf, which is not after the end time
+// +inf, so termination must also accept a drained model; the deadline turns
+// a regression into a failure instead of a hung test binary.
+func TestEndOfTimeDrains(t *testing.T) {
+	m := smmp.New(smmp.Config{Requests: 50, Seed: 3})
+	seq, err := core.RunSequential(m, vtime.PosInf, 0)
+	if err != nil {
+		t.Fatalf("sequential: %v", err)
+	}
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			cfg := core.DefaultConfig(vtime.PosInf)
+			cfg.Workers = workers
+			done := make(chan *core.Result, 1)
+			errc := make(chan error, 1)
+			go func() {
+				res, err := core.Run(m, cfg)
+				if err != nil {
+					errc <- err
+					return
+				}
+				done <- res
+			}()
+			select {
+			case res := <-done:
+				if res.GVT != vtime.PosInf {
+					t.Errorf("final GVT %s, want +inf", res.GVT)
+				}
+				if res.Stats.EventsCommitted != seq.EventsExecuted {
+					t.Errorf("committed %d, sequential executed %d", res.Stats.EventsCommitted, seq.EventsExecuted)
+				}
+			case err := <-errc:
+				t.Fatal(err)
+			case <-time.After(10 * time.Second):
+				t.Fatal("run under EndOfTime did not return within 10s after the model drained")
+			}
+		})
 	}
 }
 

@@ -20,10 +20,10 @@ package core
 // through the per-LP horizon() check in execStep, so a tightened window
 // throttles every worker identically.
 //
-// Re-mapping on line: the dispatcher keeps per-LP execution counters and,
-// every remapEvery GVT applications on LP 0, recomputes an LP→worker
-// assignment by longest-processing-time greedy packing. Ownership moves by a
-// barrier-free release/adopt handoff: the current owner notices the new
+// Re-mapping on line: every remapEvery GVT applications on LP 0, the
+// dispatcher repacks LPs onto workers by longest-processing-time greedy
+// packing of their processed-event deltas on the progress board. Ownership
+// moves by a barrier-free release/adopt handoff: the current owner notices the new
 // epoch, pushes the LP onto the target worker's adoption queue under that
 // worker's mutex (the mutex hand-over is the happens-before edge for all the
 // LP's unsynchronized state), and the adopter rebinds the LP's event pool to
@@ -39,6 +39,7 @@ import (
 
 	"gowarp/internal/comm"
 	"gowarp/internal/event"
+	"gowarp/internal/observe"
 	"gowarp/internal/pq"
 	"gowarp/internal/stats"
 	"gowarp/internal/vtime"
@@ -114,18 +115,20 @@ type dispatcher struct {
 	// changes, and each worker releases LPs whose target moved away.
 	target []atomic.Int32
 	epoch  atomic.Uint64
-	// execs counts events per LP since the last remap scan.
-	execs     []atomic.Int64
-	remapTick int // LP 0's applyGVT only, serialized by LP 0 ownership
-	remaps    atomic.Int64
+	// lastProcessed holds each LP's processed count at the previous remap
+	// scan. Both remap fields are LP 0's applyGVT only, serialized by LP 0
+	// ownership.
+	lastProcessed []int64
+	remapTick     int
+	remaps        atomic.Int64
 }
 
 func newDispatcher(n *poolNet, numWorkers, numLPs int, cfg *Config) *dispatcher {
 	d := &dispatcher{
-		net:    n,
-		owner:  make([]atomic.Int32, numLPs),
-		target: make([]atomic.Int32, numLPs),
-		execs:  make([]atomic.Int64, numLPs),
+		net:           n,
+		owner:         make([]atomic.Int32, numLPs),
+		target:        make([]atomic.Int32, numLPs),
+		lastProcessed: make([]int64, numLPs),
 	}
 	n.d = d
 	idle := cfg.GVTPeriod / 4
@@ -191,21 +194,24 @@ func (d *dispatcher) handoff(lp *lpRun, from, to int) bool {
 }
 
 // maybeRemap runs on LP 0's owning worker at each GVT application. Every
-// remapEvery applications it recomputes the LP→worker assignment from the
-// observed per-LP event rates by greedy longest-processing-time packing and,
-// when the plan differs from the current owners, publishes it and wakes every
-// worker to apply it.
-func (d *dispatcher) maybeRemap() {
+// remapEvery applications it recomputes the LP→worker assignment from each
+// LP's processed events since the previous scan, read from the progress
+// board, by greedy longest-processing-time packing and, when the plan
+// differs from the current owners, publishes it and wakes every worker to
+// apply it.
+func (d *dispatcher) maybeRemap(progress *observe.Board) {
 	d.remapTick++
 	if d.remapTick < remapEvery {
 		return
 	}
 	d.remapTick = 0
-	numLPs := len(d.execs)
+	numLPs := len(d.lastProcessed)
 	loads := make([]int64, numLPs)
 	order := make([]int, numLPs)
 	for i := range loads {
-		loads[i] = d.execs[i].Swap(0)
+		processed := progress.Load(i).Processed
+		loads[i] = processed - d.lastProcessed[i]
+		d.lastProcessed[i] = processed
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return loads[order[a]] > loads[order[b]] })
@@ -462,7 +468,6 @@ func (w *worker) run() {
 			}
 			executed++
 			w.rekey(slot)
-			w.d.execs[lp.id].Add(1)
 		}
 		if executed > 0 {
 			w.events.Add(int64(executed))

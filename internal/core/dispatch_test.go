@@ -144,7 +144,19 @@ func TestWorkerPoolSkewedRemap(t *testing.T) {
 	cfg := testConfig(1500)
 	cfg.GVTPeriod = 100 * time.Microsecond // many GVT cycles => remap scans fire
 	cfg.Workers = 3
-	assertMatchesSequential(t, m, cfg)
+	res := assertMatchesSequential(t, m, cfg)
+	// The remap packs on the progress board's per-LP processed deltas. One
+	// plan moves each LP at most once, and a constant input (a remap fed
+	// nothing, say) yields the same plan at every scan: its round-robin
+	// plan moves 10 of these 16 LPs once, then nothing. More adoptions than
+	// LPs therefore prove the plan followed the measured load.
+	var adoptions int64
+	for _, w := range res.PerWorker {
+		adoptions += w.Adoptions
+	}
+	if adoptions <= int64(m.NumLPs()) {
+		t.Errorf("%d adoptions across %d LPs: the remap never re-planned from the measured load", adoptions, m.NumLPs())
+	}
 }
 
 // Repeated pool runs with the same seed must commit the same computation

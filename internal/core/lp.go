@@ -27,9 +27,12 @@ import (
 type shared struct {
 	rt   *route.Table // ObjectID -> hosting LP, migration-aware
 	objs []*simObject // ObjectID -> runtime
-	// board is the load balancer's observation channel; nil unless
-	// Config.Balance.Enabled.
-	board *stats.LoadBoard
+	// progress is the per-LP progress board each LP overwrites at every GVT
+	// application (see snapshot), read by every GVT-period consumer.
+	progress *observe.Board
+	// load is the balancer's per-object observation channel; nil unless
+	// Config.Balance selects the dynamic mode.
+	load *stats.LoadBoard
 
 	// optAdaptive marks the adaptive optimism facet active; optWin is then
 	// the window in force (0 = unbounded), written by LP 0's controller
@@ -102,8 +105,8 @@ type lpRun struct {
 	lastGVTWall time.Time
 
 	// obs is the observation sampler (nil when observation is off): the LP
-	// publishes its LVT after each execution and its progress counters at
-	// each GVT application, and the rollback path feeds its histogram.
+	// publishes its LVT after each execution, and the rollback path feeds
+	// its histogram. Progress counters reach it through the board.
 	obs *observe.Sampler
 
 	// au is this LP's invariant-audit recorder (nil when auditing is
@@ -125,7 +128,7 @@ type lpRun struct {
 
 	// ld accumulates this LP's load observations between GVT applications;
 	// bal is the balancing controller (LP 0 only). Both are nil unless
-	// Config.Balance.Enabled, so static runs pay one pointer comparison.
+	// Config.Balance is dynamic, so static runs pay one pointer comparison.
 	ld  *loadRecorder
 	bal *balancer
 
@@ -400,21 +403,22 @@ func (lp *lpRun) maybeGVT(force bool) {
 
 // finishGVT runs on the initiator when a computation completes: broadcast
 // the value, fossil-collect locally, and terminate the simulation once GVT
-// has strictly passed the end time (or the model has drained: GVT == +inf).
-// Strictness matters: GVT equal to the end time still admits an in-flight
-// event with receive time exactly EndTime, which must execute before the
-// simulation may stop.
+// has strictly passed the end time or the model has drained (GVT == +inf,
+// which is not after an unbounded end time). Strictness matters: GVT equal
+// to a finite end time still admits an in-flight event with receive time
+// exactly EndTime, which must execute before the simulation may stop.
 func (lp *lpRun) finishGVT(g vtime.Time) {
 	lp.ep.BroadcastGVT(g)
 	lp.applyGVT(g)
-	if g.After(lp.cfg.EndTime) {
+	if g.After(lp.cfg.EndTime) || g == vtime.PosInf {
 		lp.ep.BroadcastStop()
 		lp.running = false
 	}
 }
 
-// applyGVT fossil-collects every hosted object against the new GVT and, if
-// enabled, records a timeline sample.
+// applyGVT fossil-collects every hosted object against the new GVT,
+// publishes this LP's progress row, and runs the GVT-period consumers: the
+// controllers, the pool remap, and (when enabled) the timeline and metrics.
 func (lp *lpRun) applyGVT(g vtime.Time) {
 	if lp.au != nil {
 		lp.au.ApplyGVT(g)
@@ -428,6 +432,8 @@ func (lp *lpRun) applyGVT(g vtime.Time) {
 	for _, o := range lp.objs {
 		o.fossilCollect(g)
 	}
+	// Before every reader below, so each sees this LP's latest counters.
+	p := lp.snapshot(g)
 	if lp.ld != nil {
 		lp.publishLoad()
 		if lp.bal != nil {
@@ -435,24 +441,36 @@ func (lp *lpRun) applyGVT(g vtime.Time) {
 		}
 	}
 	lp.applyTuner()
-	if lp.cfg.Timeline {
-		lp.recordSample(g)
-	}
-	if lp.obs != nil {
-		lp.obs.PublishGVT(int64(g))
-		lp.obs.PublishProgress(lp.id, lp.st.EventsCommitted, lp.st.EventsRolledBack)
-	}
 	if lp.opt != nil {
-		// After the progress publish above, so the controller's window
-		// includes this LP's own latest counters.
 		lp.runOptimism()
 	}
 	if lp.dsp != nil && lp.id == 0 {
-		lp.dsp.maybeRemap()
+		lp.dsp.maybeRemap(lp.k.progress)
 	}
-	if lp.met != nil {
-		lp.publishMetrics(g)
+	if lp.cfg.Timeline || lp.met != nil {
+		// One pass over the hosted objects serves both; runs without either
+		// pay no per-object loop per GVT.
+		meanChi, lazy, meanWindow := lp.controlSnapshot()
+		if lp.cfg.Timeline {
+			lp.recordSample(p, meanChi, lazy, meanWindow)
+		}
+		if lp.met != nil {
+			lp.publishMetrics(p, meanChi, lazy, meanWindow)
+		}
 	}
+}
+
+// snapshot publishes this LP's progress row on the board and returns it.
+func (lp *lpRun) snapshot(g vtime.Time) observe.Progress {
+	p := observe.Progress{
+		GVT:        int64(g),
+		Processed:  lp.st.EventsProcessed,
+		Committed:  lp.st.EventsCommitted,
+		RolledBack: lp.st.EventsRolledBack,
+		Rollbacks:  lp.st.Rollbacks,
+	}
+	lp.k.progress.Publish(lp.id, p)
+	return p
 }
 
 // initObjects builds each hosted object's initial state, runs Init, and

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"gowarp/internal/observe"
 	"gowarp/internal/telemetry"
 	"gowarp/internal/vtime"
 )
@@ -87,9 +88,10 @@ func newRunMetrics(reg *telemetry.Registry, numLPs int) *runMetrics {
 	}
 }
 
-// publishMetrics refreshes this LP's slots from its counters and controller
-// state; called at each GVT application, the kernel's control period.
-func (lp *lpRun) publishMetrics(g vtime.Time) {
+// publishMetrics refreshes this LP's slots from this GVT application's
+// progress row, its other counters and its controller state; called at each
+// GVT application, the kernel's control period.
+func (lp *lpRun) publishMetrics(p observe.Progress, meanChi float64, lazy int, meanWindow time.Duration) {
 	m := lp.met
 	id := lp.id
 	now := time.Now()
@@ -97,21 +99,23 @@ func (lp *lpRun) publishMetrics(g vtime.Time) {
 		m.gvtLag.Set(id, now.Sub(lp.lastGVTWall).Seconds())
 	}
 	lp.lastGVTWall = now
-	if g.IsFinite() {
+	if g := vtime.Time(p.GVT); g.IsFinite() {
 		m.gvt.Set(0, float64(g))
 	}
 
+	m.processed.Set(id, float64(p.Processed))
+	m.committed.Set(id, float64(p.Committed))
+	m.rolledBack.Set(id, float64(p.RolledBack))
+	m.rollbacks.Set(id, float64(p.Rollbacks))
+	if p.Processed > 0 {
+		m.efficiency.Set(id, float64(p.Committed)/float64(p.Processed))
+		m.rollbackRate.Set(id, float64(p.Rollbacks)/float64(p.Processed))
+	}
+	if p.Committed > 0 {
+		m.wastedWork.Set(id, float64(p.RolledBack)/float64(p.Committed))
+	}
 	st := &lp.st
 	m.gvtCycles.Set(id, float64(st.GVTCycles))
-	m.processed.Set(id, float64(st.EventsProcessed))
-	m.committed.Set(id, float64(st.EventsCommitted))
-	m.rolledBack.Set(id, float64(st.EventsRolledBack))
-	m.rollbacks.Set(id, float64(st.Rollbacks))
-	m.efficiency.Set(id, st.Efficiency())
-	if st.EventsProcessed > 0 {
-		m.rollbackRate.Set(id, float64(st.Rollbacks)/float64(st.EventsProcessed))
-	}
-	m.wastedWork.Set(id, st.WastedWorkRatio())
 	m.hitRatio.Set(id, st.HitRatio())
 	m.physMsgs.Set(id, float64(st.PhysicalMsgsSent))
 	m.antiMsgs.Set(id, float64(st.AntiMsgsSent))
@@ -128,7 +132,6 @@ func (lp *lpRun) publishMetrics(g vtime.Time) {
 	}
 	m.optWindow.Set(0, float64(w))
 
-	meanChi, lazy, meanWindow := lp.controlSnapshot()
 	m.meanChi.Set(id, meanChi)
 	m.lazyObjects.Set(id, float64(lazy))
 	m.aggWindow.Set(id, meanWindow.Seconds())

@@ -14,9 +14,9 @@ const (
 	// when none is set) for the whole run — the pre-facet behavior.
 	OptimismStatic OptimismMode = iota
 	// OptimismAdaptive turns the window into the sixth on-line controlled
-	// facet: a controller on LP 0 consumes the observation sampler's
-	// wasted-work and LVT-roughness signals at GVT applications and
-	// tightens or relaxes the window multiplicatively.
+	// facet: a controller on LP 0 consumes the progress board's
+	// wasted-work and the observation sampler's LVT-roughness signals at
+	// GVT applications and tightens or relaxes the window multiplicatively.
 	OptimismAdaptive
 )
 
@@ -30,13 +30,14 @@ func (m OptimismMode) String() string {
 
 // OptimismConfig parameterizes optimism control as the paper's control
 // tuple: the sampled output O is the windowed wasted-work ratio
-// (rolled-back / committed events between controller firings) plus the LVT
-// spread from the observation sampler, the configured item I is the
-// optimism window itself (the Palaniswamy & Wilsey bounded time window), the
-// initial setting S is Window, the transfer function T is a dead-zone MIMD
-// step (see control.MIMD) extended with an unbounded sentinel — relaxing
-// past Max opens optimism fully, and waste while unbounded re-enters the
-// bounded range at Max — and the period P is a multiple of the GVT period.
+// (rolled-back / committed events between controller firings, from the
+// progress board) plus the LVT spread from the observation sampler, the
+// configured item I is the optimism window itself (the Palaniswamy & Wilsey
+// bounded time window), the initial setting S is Window, the transfer
+// function T is a dead-zone MIMD step (see control.MIMD) extended with an
+// unbounded sentinel — relaxing past Max opens optimism fully, and waste
+// while unbounded re-enters the bounded range at Max — and the period P is
+// a multiple of the GVT period.
 type OptimismConfig struct {
 	// Mode selects the static window or the adaptive controller.
 	Mode OptimismMode
@@ -182,7 +183,7 @@ func newOptController(cfg OptimismConfig) *optController {
 	}
 }
 
-// step consumes one controller opportunity given the sampler's cumulative
+// step consumes one controller opportunity given the board's cumulative
 // progress counters, the current LVT spread, and the window in force. It
 // returns the window to run with next, the cost that drove the decision,
 // and whether the window moved. Deterministic in its inputs: two
@@ -221,10 +222,10 @@ func (c *optController) step(committed, rolled, width int64, widthKnown bool, w 
 // idle() and would otherwise only notice the wider window at their next
 // idle tick or GVT broadcast.
 func (lp *lpRun) runOptimism() {
-	committed, rolled := lp.obs.ProgressTotals()
+	tot := lp.k.progress.Totals()
 	width, widthKnown := lp.obs.LVTSpread()
 	w := vtime.Time(lp.k.optWin.Load())
-	next, cost, moved := lp.opt.step(committed, rolled, width, widthKnown, w)
+	next, cost, moved := lp.opt.step(tot.Committed, tot.RolledBack, width, widthKnown, w)
 	if !moved {
 		return
 	}

@@ -39,8 +39,8 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 		cfg.OptimismWindow = cfg.Optimism.Window
 	}
 	if cfg.Optimism.Adaptive() && cfg.Observe == nil {
-		// The controller steers by the sampler's wasted-work and LVT
-		// signals; create one when the caller didn't.
+		// The controller steers by the sampler's LVT signal; create one
+		// when the caller didn't.
 		cfg.Observe = observe.NewSampler(0)
 	}
 
@@ -81,11 +81,12 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	}
 
 	sh := &shared{
-		rt:   route.New(m.Partition),
-		objs: make([]*simObject, len(m.Objects)),
+		rt:       route.New(m.Partition),
+		objs:     make([]*simObject, len(m.Objects)),
+		progress: observe.NewBoard(numLPs),
 	}
 	if cfg.Balance.Dynamic() {
-		sh.board = stats.NewLoadBoard(len(m.Objects), numLPs)
+		sh.load = stats.NewLoadBoard(len(m.Objects))
 	}
 	if cfg.Optimism.Adaptive() {
 		sh.optAdaptive = true
@@ -100,9 +101,9 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 		met = newRunMetrics(cfg.Metrics, numLPs)
 	}
 	// The sampler binds after the registry (Bind above cleared it) so its
-	// series survive; it records into the tracer's system ring (nil when
-	// tracing is off — the sampler is nil-safe about both).
-	cfg.Observe.Bind(numLPs, cfg.Tracer.System())
+	// series survive; it reads the progress board and records into the
+	// tracer's system ring (nil when tracing is off).
+	cfg.Observe.Bind(sh.progress, cfg.Tracer.System())
 	if cfg.Metrics != nil {
 		cfg.Observe.BindMetrics(cfg.Metrics)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gowarp/internal/cancel"
+	"gowarp/internal/observe"
 	"gowarp/internal/vtime"
 )
 
@@ -66,8 +67,9 @@ func RenderTimeline(tls []LPTimeline, maxRows int) string {
 
 // controlSnapshot summarizes the LP's on-line controller state: the mean
 // checkpoint interval and lazily-cancelling object count across hosted
-// objects, and the mean aggregation window across remote destinations. Both
-// the adaptation timeline and the live metrics sample it.
+// objects, and the mean aggregation window across remote destinations. One
+// call per GVT application serves both the adaptation timeline and the live
+// metrics.
 func (lp *lpRun) controlSnapshot() (meanChi float64, lazy int, meanWindow time.Duration) {
 	for _, o := range lp.objs {
 		meanChi += float64(o.ckpt.Interval())
@@ -90,16 +92,16 @@ func (lp *lpRun) controlSnapshot() (meanChi float64, lazy int, meanWindow time.D
 	return meanChi, lazy, meanWindow
 }
 
-// recordSample appends a timeline sample; called from applyGVT when
+// recordSample appends a timeline sample built from this GVT application's
+// progress row and controller state; called from applyGVT when
 // Config.Timeline is set.
-func (lp *lpRun) recordSample(g vtime.Time) {
-	meanChi, lazy, meanWindow := lp.controlSnapshot()
+func (lp *lpRun) recordSample(p observe.Progress, meanChi float64, lazy int, meanWindow time.Duration) {
 	lp.timeline = append(lp.timeline, Sample{
 		Wall:                   time.Since(lp.started),
-		GVT:                    g,
-		EventsProcessed:        lp.st.EventsProcessed,
-		EventsCommitted:        lp.st.EventsCommitted,
-		Rollbacks:              lp.st.Rollbacks,
+		GVT:                    vtime.Time(p.GVT),
+		EventsProcessed:        p.Processed,
+		EventsCommitted:        p.Committed,
+		Rollbacks:              p.Rollbacks,
 		MeanCheckpointInterval: meanChi,
 		LazyObjects:            lazy,
 		HitRatio:               lp.st.HitRatio(),

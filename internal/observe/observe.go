@@ -1,27 +1,26 @@
 // Package observe is the kernel's observation layer: the half of the
 // paper's <O,I,S,T,P> control tuple that produces the sampled outputs O.
-// It turns the raw per-LP trace and counter streams into the quantities a
-// Time Warp operator (or a future optimism controller) actually steers by:
 //
-//   - virtual-time roughness — the spread of local virtual times across
-//     LPs, sampled on a wall-clock period (Korniss et al. show this
-//     "surface width" governs optimistic scalability);
-//   - rollback-depth histograms and wasted-work ratios;
-//   - causal rollback attribution — linking each anti-message-induced
-//     rollback to the rollback that emitted the anti-message, so cascades
-//     form trees whose cost can be aggregated (see cascade.go).
+// Its centre is the progress Board: one cache-line row of atomics per LP
+// holding the last applied GVT and the processed, committed, rolled-back
+// and rollback counts, overwritten by the LP once per GVT application (five
+// atomic stores, always on). It is the only copy of per-LP progress outside
+// the LP, read by the Sampler, the adaptive optimism controller, the load
+// balancer, the worker-pool remap, the adaptation timeline and the live
+// metrics. The Sampler adds the per-event signals the board cannot hold —
+// the virtual-time roughness of Korniss et al. (the LVT spread across LPs,
+// sampled on a wall-clock period) and the rollback-depth histogram — and
+// cascade.go links each anti-message-induced rollback to the rollback that
+// emitted the anti-message, so cascades form trees whose cost aggregates.
 //
-// The Sampler is deliberately non-perturbing: LPs publish their LVTs and
-// progress counters into per-LP atomic slots (one store each, no sharing
-// beyond the cache line), and a dedicated goroutine reads those slots on a
-// timer, records roughness samples into the tracer's system ring, and
-// mirrors live gauges into the metrics registry. Nothing on the LP side
-// blocks, allocates, or changes simulation order; the differential oracle
-// (cmd/twcheck's observation leg) verifies that runs with observation on
-// still match the sequential reference bit for bit.
-//
-// Everything is nil-safe: every method on a nil *Sampler is a no-op, so
-// the disabled path costs one pointer comparison at each hook site.
+// Observation is non-perturbing: LPs publish into atomic slots, and the
+// sampler's goroutine reads them on a timer, records roughness samples into
+// the tracer's system ring, and mirrors live gauges into the metrics
+// registry. Nothing on the LP side blocks, allocates, or changes simulation
+// order; cmd/twcheck's observation leg verifies that observed runs still
+// match the sequential reference bit for bit. Every method on a nil
+// *Sampler is a no-op, so the sampler's off path costs one pointer
+// comparison at each hook site.
 package observe
 
 import (
@@ -49,20 +48,18 @@ const DefaultPeriod = time.Millisecond
 
 // Sampler is the run-scoped observation aggregator. Construct it with
 // NewSampler, hand it to the kernel via the run configuration; the kernel
-// binds it at run start, LP goroutines publish into its atomic slots, and
-// its goroutine samples the LVT vector each period. After the run, Summary
-// and DepthHist expose the aggregates for the run artifact.
+// binds it to the run's progress board at run start, LP goroutines publish
+// their LVTs into its atomic slots, and its goroutine samples the LVT
+// vector and the board each period. After the run, Summary and DepthHist
+// expose the aggregates for the run artifact.
 type Sampler struct {
 	period time.Duration
 
-	// Per-LP atomic slots written by LP goroutines, read by the sampling
-	// goroutine. lvt holds each LP's last-executed receive time
-	// (unpublished until its first event); committed/rolled are refreshed
-	// at each GVT application; gvt is the last applied estimate.
-	lvt       []atomic.Int64
-	committed []atomic.Int64
-	rolled    []atomic.Int64
-	gvt       atomic.Int64
+	// lvt holds each LP's last-executed receive time (unpublished until its
+	// first event), written by LP goroutines and read by the sampling
+	// goroutine. board supplies the GVT and progress counters.
+	lvt   []atomic.Int64
+	board *Board
 
 	// depth is the rollback-depth histogram (len(DepthBounds)+1, overflow
 	// last); depthSum accumulates total events undone.
@@ -112,20 +109,19 @@ func (s *Sampler) Period() time.Duration {
 	return s.period
 }
 
-// Bind sizes the sampler for numLPs logical processes and attaches the
-// tracer's system ring (nil when tracing is off). The kernel calls it at
-// run start; rebinding discards previous observations. Nil-safe.
-func (s *Sampler) Bind(numLPs int, tr *telemetry.LPTrace) {
+// Bind sizes the sampler for the board's LPs, reads progress from board,
+// and attaches the tracer's system ring (nil when tracing is off). The
+// kernel calls it at run start; rebinding discards previous observations.
+// Nil-safe.
+func (s *Sampler) Bind(board *Board, tr *telemetry.LPTrace) {
 	if s == nil {
 		return
 	}
-	s.lvt = make([]atomic.Int64, numLPs)
+	s.lvt = make([]atomic.Int64, len(board.slots))
 	for i := range s.lvt {
 		s.lvt[i].Store(unpublished)
 	}
-	s.committed = make([]atomic.Int64, numLPs)
-	s.rolled = make([]atomic.Int64, numLPs)
-	s.gvt.Store(unpublished)
+	s.board = board
 	s.depth = make([]atomic.Int64, len(DepthBounds)+1)
 	s.depthSum.Store(0)
 	s.tr = tr
@@ -161,24 +157,6 @@ func (s *Sampler) PublishLVT(lp int, t int64) {
 	s.lvt[lp].Store(t)
 }
 
-// PublishGVT stores the last applied GVT estimate. Nil-safe.
-func (s *Sampler) PublishGVT(g int64) {
-	if s == nil {
-		return
-	}
-	s.gvt.Store(g)
-}
-
-// PublishProgress refreshes LP lp's committed and rolled-back event
-// counters; called at each GVT application. Nil-safe.
-func (s *Sampler) PublishProgress(lp int, committed, rolled int64) {
-	if s == nil || lp < 0 || lp >= len(s.committed) {
-		return
-	}
-	s.committed[lp].Store(committed)
-	s.rolled[lp].Store(rolled)
-}
-
 // RecordRollback adds one rollback episode of the given depth (events
 // undone) to the histogram. Called from the rollback path; two atomic adds,
 // no allocation. Nil-safe.
@@ -194,21 +172,6 @@ func (s *Sampler) RecordRollback(depth int64) {
 	s.depthSum.Add(depth)
 }
 
-// ProgressTotals sums the committed and rolled-back event counters last
-// published by the LPs at their GVT applications. Atomic loads only, no
-// allocation — the adaptive optimism controller calls it on the GVT path.
-// Nil-safe.
-func (s *Sampler) ProgressTotals() (committed, rolled int64) {
-	if s == nil {
-		return 0, 0
-	}
-	for i := range s.committed {
-		committed += s.committed[i].Load()
-		rolled += s.rolled[i].Load()
-	}
-	return committed, rolled
-}
-
 // LVTSpread returns the current spread (max − min) over the published local
 // virtual times and whether any LP has published one yet — the roughness
 // "surface width" at this instant, without waiting for the sampling
@@ -217,25 +180,40 @@ func (s *Sampler) LVTSpread() (int64, bool) {
 	if s == nil {
 		return 0, false
 	}
-	minLVT, maxLVT := int64(math.MaxInt64), int64(math.MinInt64)
-	n := 0
+	sc := s.scanLVT()
+	if sc.n == 0 {
+		return 0, false
+	}
+	return sc.max - sc.min, true
+}
+
+// lvtScan summarizes the published LVTs: extremes, the LP holding the
+// minimum, count, sum and sum of squares.
+type lvtScan struct {
+	min, max   int64
+	laggard    int32
+	n          int
+	sum, sumsq float64
+}
+
+// scanLVT reads every LVT slot once, skipping unpublished and +inf ones.
+func (s *Sampler) scanLVT() lvtScan {
+	sc := lvtScan{min: math.MaxInt64, max: math.MinInt64, laggard: -1}
 	for i := range s.lvt {
 		v := s.lvt[i].Load()
 		if v == unpublished || v == math.MaxInt64 {
 			continue
 		}
-		if v < minLVT {
-			minLVT = v
+		if v < sc.min {
+			sc.min, sc.laggard = v, int32(i)
 		}
-		if v > maxLVT {
-			maxLVT = v
-		}
-		n++
+		sc.max = max(sc.max, v)
+		sc.n++
+		f := float64(v)
+		sc.sum += f
+		sc.sumsq += f * f
 	}
-	if n == 0 {
-		return 0, false
-	}
-	return maxLVT - minLVT, true
+	return sc
 }
 
 // Start launches the sampling goroutine. The kernel calls it once the LPs
@@ -287,53 +265,31 @@ func (s *Sampler) Stop() {
 	s.sample()
 }
 
-// sample reads the atomic slots, derives the roughness quantities, records
-// a trace event and refreshes the live gauges. Runs on the sampling
-// goroutine (or from Stop, strictly after that goroutine exited).
+// sample reads the LVT slots and the board, derives the roughness
+// quantities, records a trace event and refreshes the live gauges. Runs on
+// the sampling goroutine (or from Stop, strictly after that goroutine
+// exited).
 func (s *Sampler) sample() {
-	minLVT, maxLVT := int64(math.MaxInt64), int64(math.MinInt64)
-	var n int
-	var sum, sumsq float64
-	laggard := int32(-1)
-	for i := range s.lvt {
-		v := s.lvt[i].Load()
-		if v == unpublished || v == math.MaxInt64 {
-			continue
-		}
-		if v < minLVT {
-			minLVT, laggard = v, int32(i)
-		}
-		if v > maxLVT {
-			maxLVT = v
-		}
-		n++
-		f := float64(v)
-		sum += f
-		sumsq += f * f
-	}
-	if n == 0 {
+	sc := s.scanLVT()
+	if sc.n == 0 {
 		return // nothing executed yet
 	}
-	mean := sum / float64(n)
-	variance := sumsq/float64(n) - mean*mean
+	mean := sc.sum / float64(sc.n)
+	variance := sc.sumsq/float64(sc.n) - mean*mean
 	if variance < 0 {
 		variance = 0 // float rounding
 	}
 	std := math.Sqrt(variance)
-	width := maxLVT - minLVT
+	width := sc.max - sc.min
 
-	var comm, roll int64
-	for i := range s.committed {
-		comm += s.committed[i].Load()
-		roll += s.rolled[i].Load()
-	}
+	tot := s.board.Totals()
 	var wastedPermille int64
-	if comm > 0 {
-		wastedPermille = roll * 1000 / comm
+	if tot.Committed > 0 {
+		wastedPermille = tot.RolledBack * 1000 / tot.Committed
 	}
 
-	gvt := s.gvt.Load()
-	s.tr.Roughness(gvt, minLVT, maxLVT, int64(mean), int64(std), laggard, wastedPermille)
+	gvt := tot.GVT
+	s.tr.Roughness(gvt, sc.min, sc.max, int64(mean), int64(std), sc.laggard, wastedPermille)
 
 	s.samples++
 	s.sumWidth += float64(width)

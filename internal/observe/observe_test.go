@@ -113,15 +113,15 @@ func TestSamplerRoughness(t *testing.T) {
 	tr := telemetry.NewTracer(64)
 	tr.Bind(4, time.Now())
 	s := NewSampler(time.Hour) // tick never fires; we sample explicitly
-	s.Bind(4, tr.System())
+	b := NewBoard(4)
+	s.Bind(b, tr.System())
 
 	s.PublishLVT(0, 100)
 	s.PublishLVT(1, 140)
 	s.PublishLVT(2, 120)
 	// LP 3 never publishes: it must not drag min to the unpublished sentinel.
-	s.PublishGVT(90)
-	s.PublishProgress(0, 80, 20)
-	s.PublishProgress(1, 120, 0)
+	b.Publish(0, Progress{GVT: 90, Committed: 80, RolledBack: 20})
+	b.Publish(1, Progress{GVT: 90, Committed: 120})
 	s.RecordRollback(1)
 	s.RecordRollback(3)
 	s.RecordRollback(700) // overflow bucket
@@ -160,11 +160,9 @@ func TestSamplerRoughness(t *testing.T) {
 
 func TestSamplerNilSafe(t *testing.T) {
 	var s *Sampler
-	s.Bind(4, nil)
+	s.Bind(NewBoard(4), nil)
 	s.BindMetrics(nil)
 	s.PublishLVT(0, 1)
-	s.PublishGVT(1)
-	s.PublishProgress(0, 1, 0)
 	s.RecordRollback(1)
 	s.Start()
 	s.Stop()
@@ -177,7 +175,7 @@ func TestSamplerNilSafe(t *testing.T) {
 	if s2.Period() != DefaultPeriod {
 		t.Fatalf("period = %v, want default", s2.Period())
 	}
-	s2.Bind(2, nil)
+	s2.Bind(NewBoard(2), nil)
 	s2.PublishLVT(0, 5)
 	s2.PublishLVT(7, 5) // out of range
 	s2.RecordRollback(2)
@@ -188,16 +186,17 @@ func TestSamplerNilSafe(t *testing.T) {
 	}
 }
 
-// TestSamplerHotPathAllocs is the zero-allocation guard for the per-event and
-// per-rollback publishing hooks (issue satellite: sampling and attribution
-// must not put allocations on the kernel's hot path).
+// TestSamplerHotPathAllocs is the zero-allocation guard for the per-event,
+// per-rollback and per-GVT publishing hooks: sampling and attribution must
+// not put allocations on the kernel's hot path.
 func TestSamplerHotPathAllocs(t *testing.T) {
 	s := NewSampler(time.Hour)
-	s.Bind(4, nil)
+	b := NewBoard(4)
+	s.Bind(b, nil)
 	if n := testing.AllocsPerRun(200, func() {
 		s.PublishLVT(1, 42)
-		s.PublishGVT(40)
-		s.PublishProgress(1, 10, 2)
+		b.Publish(1, Progress{GVT: 40, Committed: 10, RolledBack: 2})
+		_ = b.Totals()
 		s.RecordRollback(3)
 	}); n != 0 {
 		t.Fatalf("sampler hot path allocates %v per op, want 0", n)

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -8,35 +9,26 @@ import (
 	"gowarp/internal/partition"
 )
 
-// LoadBoard is the cross-LP observation channel of the load-balancing
-// controller: each LP publishes batched per-object execution counts,
-// per-pair communication counts, and its progress counters at GVT
-// application points (never on the event hot path), and the balancing LP
-// snapshots the board when its control period fires. Scalar cells are
-// atomics so publishers never contend; the edge map is mutex-guarded
-// because publishes are rare (once per GVT cycle per LP).
+// LoadBoard is the per-object half of the load-balancing controller's
+// observation channel: each LP publishes batched per-object execution
+// counts and per-pair communication counts at GVT application points (never
+// on the event hot path), and the balancing LP snapshots the board when its
+// control period fires. Per-LP progress comes from the run's progress board
+// (observe.Board), not from here. Execution cells are atomics so publishers
+// never contend; the edge map is mutex-guarded because publishes are rare
+// (once per GVT cycle per LP).
 type LoadBoard struct {
 	objExec []atomic.Int64 // executed events per object, cumulative
-
-	// Per-LP progress counters, cumulative.
-	processed  []atomic.Int64
-	committed  []atomic.Int64
-	rolledBack []atomic.Int64
-	rollbacks  []atomic.Int64
 
 	mu    sync.Mutex
 	edges map[uint64]int64 // EdgeKey(a,b) → events exchanged, cumulative
 }
 
-// NewLoadBoard returns a board for objects simulation objects on lps LPs.
-func NewLoadBoard(objects, lps int) *LoadBoard {
+// NewLoadBoard returns a board for objects simulation objects.
+func NewLoadBoard(objects int) *LoadBoard {
 	return &LoadBoard{
-		objExec:    make([]atomic.Int64, objects),
-		processed:  make([]atomic.Int64, lps),
-		committed:  make([]atomic.Int64, lps),
-		rolledBack: make([]atomic.Int64, lps),
-		rollbacks:  make([]atomic.Int64, lps),
-		edges:      make(map[uint64]int64),
+		objExec: make([]atomic.Int64, objects),
+		edges:   make(map[uint64]int64),
 	}
 }
 
@@ -51,19 +43,15 @@ func EdgeKey(a, b int32) uint64 {
 }
 
 // Publish folds one LP's accumulated deltas into the board: execDelta is
-// indexed by object ID (zero entries are skipped), edges maps EdgeKey to the
-// events exchanged since the LP's previous publish, and the four scalars are
-// likewise deltas. Safe for concurrent use by all LPs.
-func (b *LoadBoard) Publish(lp int, execDelta []int64, edges map[uint64]int64, processed, committed, rolledBack, rollbacks int64) {
+// indexed by object ID (zero entries are skipped) and edges maps EdgeKey to
+// the events exchanged since the LP's previous publish. Safe for concurrent
+// use by all LPs.
+func (b *LoadBoard) Publish(execDelta []int64, edges map[uint64]int64) {
 	for obj, n := range execDelta {
 		if n != 0 {
 			b.objExec[obj].Add(n)
 		}
 	}
-	b.processed[lp].Add(processed)
-	b.committed[lp].Add(committed)
-	b.rolledBack[lp].Add(rolledBack)
-	b.rollbacks[lp].Add(rollbacks)
 	if len(edges) > 0 {
 		b.mu.Lock()
 		for k, n := range edges {
@@ -76,32 +64,18 @@ func (b *LoadBoard) Publish(lp int, execDelta []int64, edges map[uint64]int64, p
 // LoadSample is a point-in-time copy of the board. Samples subtract
 // (Sub) so the balancer can observe a window rather than the whole run.
 type LoadSample struct {
-	ObjExec    []int64
-	Processed  []int64
-	Committed  []int64
-	RolledBack []int64
-	Rollbacks  []int64
-	edges      map[uint64]int64
+	ObjExec []int64
+	edges   map[uint64]int64
 }
 
 // Snapshot copies the board's current cumulative counts.
 func (b *LoadBoard) Snapshot() LoadSample {
 	s := LoadSample{
-		ObjExec:    make([]int64, len(b.objExec)),
-		Processed:  make([]int64, len(b.processed)),
-		Committed:  make([]int64, len(b.committed)),
-		RolledBack: make([]int64, len(b.rolledBack)),
-		Rollbacks:  make([]int64, len(b.rollbacks)),
-		edges:      make(map[uint64]int64),
+		ObjExec: make([]int64, len(b.objExec)),
+		edges:   make(map[uint64]int64),
 	}
 	for i := range b.objExec {
 		s.ObjExec[i] = b.objExec[i].Load()
-	}
-	for i := range b.processed {
-		s.Processed[i] = b.processed[i].Load()
-		s.Committed[i] = b.committed[i].Load()
-		s.RolledBack[i] = b.rolledBack[i].Load()
-		s.Rollbacks[i] = b.rollbacks[i].Load()
 	}
 	b.mu.Lock()
 	for k, n := range b.edges {
@@ -115,12 +89,11 @@ func (b *LoadBoard) Snapshot() LoadSample {
 // in s keep their full count).
 func (s LoadSample) Sub(base LoadSample) LoadSample {
 	d := LoadSample{
-		ObjExec:    subSlice(s.ObjExec, base.ObjExec),
-		Processed:  subSlice(s.Processed, base.Processed),
-		Committed:  subSlice(s.Committed, base.Committed),
-		RolledBack: subSlice(s.RolledBack, base.RolledBack),
-		Rollbacks:  subSlice(s.Rollbacks, base.Rollbacks),
-		edges:      make(map[uint64]int64),
+		ObjExec: slices.Clone(s.ObjExec),
+		edges:   make(map[uint64]int64),
+	}
+	for i, n := range base.ObjExec {
+		d.ObjExec[i] -= n
 	}
 	for k, n := range s.edges {
 		if dn := n - base.edges[k]; dn != 0 {
@@ -128,17 +101,6 @@ func (s LoadSample) Sub(base LoadSample) LoadSample {
 		}
 	}
 	return d
-}
-
-func subSlice(a, b []int64) []int64 {
-	out := make([]int64, len(a))
-	for i := range a {
-		out[i] = a[i]
-		if i < len(b) {
-			out[i] -= b[i]
-		}
-	}
-	return out
 }
 
 // Edges renders the sample's communication counts as measured edges, sorted
@@ -158,14 +120,4 @@ func (s LoadSample) Edges() []partition.MeasuredEdge {
 		}
 	}
 	return out
-}
-
-// TotalProcessed sums the per-LP processed counts (the balancer's
-// sufficient-sample gate).
-func (s LoadSample) TotalProcessed() int64 {
-	var n int64
-	for _, v := range s.Processed {
-		n += v
-	}
-	return n
 }

@@ -6,9 +6,9 @@ import (
 )
 
 func TestLoadBoardPublishSnapshot(t *testing.T) {
-	b := NewLoadBoard(4, 2)
-	b.Publish(0, []int64{5, 3, 0, 0}, map[uint64]int64{EdgeKey(0, 1): 7}, 8, 6, 2, 1)
-	b.Publish(1, []int64{0, 0, 2, 1}, map[uint64]int64{EdgeKey(1, 0): 3, EdgeKey(2, 3): 4}, 3, 3, 0, 0)
+	b := NewLoadBoard(4)
+	b.Publish([]int64{5, 3, 0, 0}, map[uint64]int64{EdgeKey(0, 1): 7})
+	b.Publish([]int64{0, 0, 2, 1}, map[uint64]int64{EdgeKey(1, 0): 3, EdgeKey(2, 3): 4})
 
 	s := b.Snapshot()
 	wantExec := []int64{5, 3, 2, 1}
@@ -16,15 +16,6 @@ func TestLoadBoardPublishSnapshot(t *testing.T) {
 		if s.ObjExec[i] != w {
 			t.Errorf("ObjExec[%d] = %d, want %d", i, s.ObjExec[i], w)
 		}
-	}
-	if s.Processed[0] != 8 || s.Processed[1] != 3 {
-		t.Errorf("Processed = %v", s.Processed)
-	}
-	if s.Committed[0] != 6 || s.RolledBack[0] != 2 || s.Rollbacks[0] != 1 {
-		t.Errorf("LP0 counters = %v %v %v", s.Committed[0], s.RolledBack[0], s.Rollbacks[0])
-	}
-	if got := s.TotalProcessed(); got != 11 {
-		t.Errorf("TotalProcessed = %d, want 11", got)
 	}
 
 	// EdgeKey(0,1) and EdgeKey(1,0) must land on the same cell.
@@ -41,21 +32,15 @@ func TestLoadBoardPublishSnapshot(t *testing.T) {
 }
 
 func TestLoadSampleSub(t *testing.T) {
-	b := NewLoadBoard(2, 2)
-	b.Publish(0, []int64{10, 0}, map[uint64]int64{EdgeKey(0, 1): 5}, 10, 8, 0, 0)
+	b := NewLoadBoard(2)
+	b.Publish([]int64{10, 0}, map[uint64]int64{EdgeKey(0, 1): 5})
 	base := b.Snapshot()
-	b.Publish(0, []int64{4, 0}, map[uint64]int64{EdgeKey(0, 1): 2}, 4, 4, 1, 1)
-	b.Publish(1, []int64{0, 6}, nil, 6, 5, 0, 0)
+	b.Publish([]int64{4, 0}, map[uint64]int64{EdgeKey(0, 1): 2})
+	b.Publish([]int64{0, 6}, nil)
 
 	d := b.Snapshot().Sub(base)
 	if d.ObjExec[0] != 4 || d.ObjExec[1] != 6 {
 		t.Errorf("windowed ObjExec = %v, want [4 6]", d.ObjExec)
-	}
-	if d.Processed[0] != 4 || d.Processed[1] != 6 {
-		t.Errorf("windowed Processed = %v", d.Processed)
-	}
-	if d.Rollbacks[0] != 1 {
-		t.Errorf("windowed Rollbacks = %v", d.Rollbacks)
 	}
 	edges := d.Edges()
 	if len(edges) != 1 || edges[0].W != 2 {
@@ -67,7 +52,7 @@ func TestLoadSampleSub(t *testing.T) {
 // publish while the balancer snapshots.
 func TestLoadBoardConcurrentPublish(t *testing.T) {
 	const lps, rounds = 4, 200
-	b := NewLoadBoard(8, lps)
+	b := NewLoadBoard(8)
 	var wg sync.WaitGroup
 	for lp := 0; lp < lps; lp++ {
 		wg.Add(1)
@@ -78,7 +63,7 @@ func TestLoadBoardConcurrentPublish(t *testing.T) {
 				for i := range exec {
 					exec[i] = int64(i)
 				}
-				b.Publish(lp, exec, map[uint64]int64{EdgeKey(int32(lp), int32((lp+1)%lps)): 1}, 3, 2, 1, 1)
+				b.Publish(exec, map[uint64]int64{EdgeKey(int32(lp), int32((lp+1)%lps)): 1})
 			}
 		}(lp)
 	}
@@ -86,13 +71,24 @@ func TestLoadBoardConcurrentPublish(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			_ = b.Snapshot().TotalProcessed()
+			_ = b.Snapshot().Edges()
 		}
 	}()
 	wg.Wait()
 	<-done
 	s := b.Snapshot()
-	if got := s.TotalProcessed(); got != lps*rounds*3 {
-		t.Errorf("TotalProcessed = %d, want %d", got, lps*rounds*3)
+	var total int64
+	for _, n := range s.ObjExec {
+		total += n
+	}
+	if want := int64(lps * rounds * 28); total != want { // 0+1+...+7 per publish
+		t.Errorf("total executions = %d, want %d", total, want)
+	}
+	var edges float64
+	for _, e := range s.Edges() {
+		edges += e.W
+	}
+	if edges != lps*rounds {
+		t.Errorf("total edge weight = %v, want %d", edges, lps*rounds)
 	}
 }
