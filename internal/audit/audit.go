@@ -23,7 +23,11 @@
 //     stop — aggregation neither drops nor duplicates events;
 //   - state integrity: a restored checkpoint hashes identically to the state
 //     originally saved (catching models whose Clone is not a deep copy), and
-//     fossil collection always retains a snapshot at or below GVT.
+//     fossil collection always retains a snapshot at or below GVT;
+//   - active-list bookkeeping: every object fossil collection could still
+//     find work in is on its LP's history list, every object with parked
+//     lazy outputs is on its LP's lazy list, and the local GVT minimum built
+//     from those lists and the schedule heap equals a brute-force scan.
 //
 // Everything here is nil-safe by design: a nil *Auditor hands out nil
 // *LPAudit and *ObjectAudit recorders, and every checking method on a nil
@@ -66,7 +70,8 @@ const (
 	InvRestoreOrder     = "restore-order" // restored snapshot not strictly before the straggler
 	InvFossilFloor      = "fossil-floor"  // no snapshot at or below GVT retained
 	InvStatsIdentity    = "stats-identity"
-	InvMigration        = "migration" // a migrated object lost events or state in transit
+	InvMigration        = "migration"   // a migrated object lost events or state in transit
+	InvActiveList       = "active-list" // an LP's history or lazy list, or the local minimum built on them, disagrees with a full scan
 )
 
 // Violation is one observed invariant breach.
@@ -423,6 +428,20 @@ func (l *LPAudit) ApplyGVT(g vtime.Time) {
 	l.a.maybePrune(g)
 }
 
+// LocalMin checks the local GVT minimum this LP's bookkeeping yields (its
+// schedule heap and lazy list) against scan, the brute-force minimum over
+// every hosted object's next unprocessed event and unsent lazy output.
+func (l *LPAudit) LocalMin(got, scan vtime.Time) {
+	if l == nil {
+		return
+	}
+	l.checks++
+	if got != scan {
+		l.a.record(Violation{Invariant: InvActiveList, LP: l.lp, Object: -1,
+			Detail: fmt.Sprintf("local minimum %s from the schedule heap and lazy list, %s from a full scan", got, scan)})
+	}
+}
+
 // GVTRound checks a token observed by the initiator: the outstanding white
 // message count can never be negative, and the two minima folded into the
 // token can never undercut the previous GVT.
@@ -591,6 +610,25 @@ func (o *ObjectAudit) Floor(g, nextPending, minUnsent vtime.Time) {
 	if minUnsent.Before(g) {
 		o.l.a.record(Violation{Invariant: InvGVTFloor, LP: o.l.lp, Object: o.id,
 			Detail: fmt.Sprintf("GVT %s above unresolved lazy output minimum %s", g, minUnsent)})
+	}
+}
+
+// ActiveLists checks the object's membership in its LP's active lists: off
+// the history list it must be quiescent (fossil collection would find
+// nothing to reclaim or commit), and with parked lazy outputs it must be on
+// the lazy list, or GVT and the idle drain would overlook them.
+func (o *ObjectAudit) ActiveLists(onHistory, quiescent, onLazy bool, parked int) {
+	if o == nil {
+		return
+	}
+	o.l.checks++
+	if !onHistory && !quiescent {
+		o.l.a.record(Violation{Invariant: InvActiveList, LP: o.l.lp, Object: o.id,
+			Detail: "off the history list but holds history fossil collection must reclaim or commit"})
+	}
+	if !onLazy && parked > 0 {
+		o.l.a.record(Violation{Invariant: InvActiveList, LP: o.l.lp, Object: o.id,
+			Detail: fmt.Sprintf("off the lazy list with %d parked lazy output(s)", parked)})
 	}
 }
 

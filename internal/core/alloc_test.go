@@ -8,7 +8,9 @@ import (
 	"gowarp/internal/apps/phold"
 	"gowarp/internal/cancel"
 	"gowarp/internal/codec"
+	"gowarp/internal/comm"
 	"gowarp/internal/event"
+	"gowarp/internal/gvt"
 	"gowarp/internal/model"
 	"gowarp/internal/observe"
 	"gowarp/internal/pq"
@@ -47,26 +49,50 @@ func (p *pingObject) Execute(ctx model.Context, st model.State, ev *event.Event)
 }
 
 // newAllocHarness builds a single lpRun hosting two ping-ponging objects,
-// wired exactly like Run does but driven synchronously (no goroutines, no
-// network) so the steady-state execute path can be measured in isolation.
+// driven synchronously so the steady-state execute path can be measured in
+// isolation.
 func newAllocHarness() *lpRun {
-	cfg := DefaultConfig(vtime.Time(1) << 40)
-	sh := &shared{rt: route.New([]int{0, 0}), objs: make([]*simObject, 2), progress: observe.NewBoard(1)}
-	lp := &lpRun{
-		id:       0,
-		cfg:      &cfg,
-		k:        sh,
-		running:  true,
-		numLPs:   1,
-		local:    make([]*simObject, 2),
-		outbound: make(map[event.ObjectID]int),
+	objs := []model.Object{&pingObject{peer: 1}, &pingObject{peer: 0}}
+	lp := newTestLPs(DefaultConfig(vtime.Time(1)<<40), objs, []int{0, 0})[0]
+	lp.initObjects()
+	return lp
+}
+
+// newTestLPs builds one lpRun per LP named in part, hosting objs by that
+// partition, wired like Run wires them (in-process transport, endpoints, GVT
+// managers, event pools, routing table) but with no goroutines: the caller
+// drives every step. Objects are not yet initialised.
+func newTestLPs(cfg Config, objs []model.Object, part []int) []*lpRun {
+	numLPs := 0
+	for _, p := range part {
+		numLPs = max(numLPs, p+1)
 	}
-	lp.pool = event.NewPool()
-	for id, po := range []*pingObject{{peer: 1}, {peer: 0}} {
+	sh := &shared{rt: route.New(part), objs: make([]*simObject, len(objs)), progress: observe.NewBoard(numLPs)}
+	net := comm.NewInProc(numLPs)
+	lps := make([]*lpRun, numLPs)
+	for i := range lps {
+		lp := &lpRun{
+			id:       i,
+			cfg:      &cfg,
+			k:        sh,
+			inbox:    net.Recv(i),
+			running:  true,
+			numLPs:   numLPs,
+			local:    make([]*simObject, len(objs)),
+			outbound: make(map[event.ObjectID]int),
+			pool:     event.NewPool(),
+		}
+		lp.ep = comm.NewEndpoint(net, i, cfg.Aggregation, &lp.st)
+		lp.ep.Pool = lp.pool
+		lp.gvtMgr = gvt.NewManager(i, numLPs, lp.ep, cfg.GVTPeriod, &lp.st)
+		lps[i] = lp
+	}
+	for id, obj := range objs {
+		lp := lps[part[id]]
 		o := &simObject{
 			id:      event.ObjectID(id),
-			slot:    id,
-			obj:     po,
+			slot:    len(lp.objs),
+			obj:     obj,
 			lp:      lp,
 			pending: pq.New(cfg.PendingSet),
 			orphans: make(map[pq.Identity]*event.Event),
@@ -79,9 +105,10 @@ func newAllocHarness() *lpRun {
 		lp.objs = append(lp.objs, o)
 		lp.local[id] = o
 	}
-	lp.sched = pq.NewScheduleHeap(len(lp.objs))
-	lp.initObjects()
-	return lp
+	for _, lp := range lps {
+		lp.sched = pq.NewScheduleHeap(len(lp.objs))
+	}
+	return lps
 }
 
 // TestExecuteLoopZeroAlloc pins the tentpole contract end to end: with every

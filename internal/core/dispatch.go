@@ -491,9 +491,7 @@ func (w *worker) idle() {
 		if !lp.running {
 			continue
 		}
-		for _, o := range lp.objs {
-			o.drainStale()
-		}
+		lp.drainStale()
 		if dl, ok := lp.ep.NextDeadline(); ok {
 			if d := time.Until(dl); d < timeout {
 				timeout = d

@@ -136,6 +136,17 @@ type lpRun struct {
 	// Config.Optimism selects the adaptive mode).
 	opt *optController
 
+	// hist and lazy are the active lists that keep every GVT-period and
+	// idle pass proportional to the objects doing work rather than to the
+	// objects hosted. hist holds the objects fossil collection may still
+	// find work in (see simObject.quiescent); lazy holds the objects with
+	// parked lazy-cancellation outputs. An object joins through
+	// noteHistory/noteLazy and leaves during the pass that finds it done;
+	// its onHist/onLazy flag mirrors membership. Both lists follow an
+	// object across migration and, being per-LP, an LP across workers.
+	hist []*simObject
+	lazy []*simObject
+
 	// reports stashes end-of-run rank reports (PktReport) that reach LP 0 of
 	// a distributed run's coordinator while it is still in its loop. By
 	// protocol that cannot happen — remote ranks report only after receiving
@@ -354,19 +365,43 @@ func (lp *lpRun) handlePacket(p comm.Packet) {
 
 // localMin computes this LP's contribution to GVT: the minimum over
 // unprocessed events, queued intra-LP messages, and unsent lazy
-// anti-messages. Objects with no executable work first drain their stale
-// lazy-pending outputs so idle LPs never hold GVT back.
+// anti-messages. Objects on the lazy list with no executable work first
+// drain their stale outputs so idle LPs never hold GVT back. It visits only
+// the lazy list; the schedule heap supplies the unprocessed minimum.
 func (lp *lpRun) localMin() vtime.Time {
-	for _, o := range lp.objs {
-		o.drainStale()
-	}
+	lp.drainStale()
 	lp.drainDeferred()
-	min := vtime.PosInf
-	for _, o := range lp.objs {
-		min = vtime.Min(min, o.nextTime())
+	return lp.nextMin()
+}
+
+// nextMin is the local minimum as the bookkeeping holds it: the schedule
+// heap's head, which refresh keeps equal to the least nextTime over every
+// hosted object, and the least unsent lazy output on the lazy list, which
+// holds every object with parked outputs.
+func (lp *lpRun) nextMin() vtime.Time {
+	_, min := lp.sched.Min()
+	for _, o := range lp.lazy {
 		min = vtime.Min(min, o.out.MinPending())
 	}
 	return min
+}
+
+// drainStale sweeps the lazy list: each object on it drains its parked
+// outputs if it has no executable work left (see simObject.drainStale), and
+// objects left with no parked output leave the list. Objects off the list
+// hold no parked output, so the sweep is exact.
+func (lp *lpRun) drainStale() {
+	kept := lp.lazy[:0]
+	for _, o := range lp.lazy {
+		o.drainStale()
+		if o.out.PendingLen() == 0 {
+			o.onLazy = false
+			continue
+		}
+		kept = append(kept, o)
+	}
+	clear(lp.lazy[len(kept):])
+	lp.lazy = kept
 }
 
 // horizon returns the latest virtual time this LP may optimistically execute
@@ -394,9 +429,13 @@ func (lp *lpRun) horizon() vtime.Time {
 }
 
 // maybeGVT lets LP 0 start a GVT computation; force is set when the LP has
-// gone idle, so termination is detected without waiting a full period.
+// gone idle, so termination is detected without waiting a full period. The
+// local minimum is computed only when a computation actually starts.
 func (lp *lpRun) maybeGVT(force bool) {
-	if g, found := lp.gvtMgr.MaybeInitiate(lp.localMin(), force); found {
+	if !lp.gvtMgr.Due(force) {
+		return
+	}
+	if g, found := lp.gvtMgr.Initiate(lp.localMin()); found {
 		lp.finishGVT(g) // single-LP short circuit
 	}
 }
@@ -416,22 +455,27 @@ func (lp *lpRun) finishGVT(g vtime.Time) {
 	}
 }
 
-// applyGVT fossil-collects every hosted object against the new GVT,
-// publishes this LP's progress row, and runs the GVT-period consumers: the
-// controllers, the pool remap, and (when enabled) the timeline and metrics.
+// applyGVT fossil-collects the objects on the history list against the new
+// GVT, dropping those left quiescent, publishes this LP's progress row, and
+// runs the GVT-period consumers: the controllers, the pool remap, and (when
+// enabled) the timeline and metrics. A quiescent object is skipped exactly:
+// fossil collection would find nothing in it to reclaim or commit.
 func (lp *lpRun) applyGVT(g vtime.Time) {
 	if lp.au != nil {
 		lp.au.ApplyGVT(g)
-		// Invariant (b): before any history is reclaimed, the new estimate
-		// must sit at or below every object's unprocessed minimum and its
-		// minimum unresolved lazy output.
-		for _, o := range lp.objs {
-			o.au.Floor(g, o.nextTime(), o.out.MinPending())
-		}
+		lp.auditObjects(g)
 	}
-	for _, o := range lp.objs {
+	kept := lp.hist[:0]
+	for _, o := range lp.hist {
 		o.fossilCollect(g)
+		if o.quiescent() {
+			o.onHist = false
+			continue
+		}
+		kept = append(kept, o)
 	}
+	clear(lp.hist[len(kept):])
+	lp.hist = kept
 	// Before every reader below, so each sees this LP's latest counters.
 	p := lp.snapshot(g)
 	if lp.ld != nil {
@@ -458,6 +502,24 @@ func (lp *lpRun) applyGVT(g vtime.Time) {
 			lp.publishMetrics(p, meanChi, lazy, meanWindow)
 		}
 	}
+}
+
+// auditObjects runs the per-object checks of an audited GVT application, the
+// one pass at GVT that visits every hosted object, before any history is
+// reclaimed: invariant (b), that the new estimate sits at or below every
+// object's unprocessed minimum and its minimum unresolved lazy output; that
+// an object off the history list is quiescent and one with parked outputs
+// is on the lazy list; and that the local minimum the schedule heap and the
+// lazy list yield equals the brute-force minimum over every object.
+func (lp *lpRun) auditObjects(g vtime.Time) {
+	scan := vtime.PosInf
+	for _, o := range lp.objs {
+		next, unsent := o.nextTime(), o.out.MinPending()
+		o.au.Floor(g, next, unsent)
+		o.au.ActiveLists(o.onHist, o.quiescent(), o.onLazy, o.out.PendingLen())
+		scan = vtime.Min(scan, vtime.Min(next, unsent))
+	}
+	lp.au.LocalMin(lp.nextMin(), scan)
 }
 
 // snapshot publishes this LP's progress row on the board and returns it.
@@ -489,6 +551,7 @@ func (lp *lpRun) initObjects() {
 		o.stateQ = statesave.NewQueue(o.state, meta, codec.NewState(lp.cfg.Codec))
 		bindObjectHooks(lp, o) // rebind now that the state queue exists
 		lp.refresh(o)
+		o.noteHistory() // Init's outputs await their first fossil pass
 	}
 }
 
@@ -552,9 +615,7 @@ func (lp *lpRun) run() {
 // deadline if one is pending, else the idle tick. On wake, LP 0 may force a
 // GVT computation so global quiescence turns into termination.
 func (lp *lpRun) idle() {
-	for _, o := range lp.objs {
-		o.drainStale()
-	}
+	lp.drainStale()
 	timeout := lp.idleTick
 	if dl, ok := lp.ep.NextDeadline(); ok {
 		if d := time.Until(dl); d < timeout {

@@ -117,7 +117,9 @@ func (lp *lpRun) migrateOutBatch(batch []*simObject, to int) {
 	}
 
 	// Detach: swap-remove each from the hosted set, fix the displaced
-	// object's slot, and rebuild the scheduler over the survivors.
+	// object's slot, and rebuild the scheduler over the survivors. The
+	// objects leave this LP's active lists too; install puts them on the
+	// destination's.
 	for _, o := range batch {
 		last := len(lp.objs) - 1
 		lp.objs[o.slot] = lp.objs[last]
@@ -126,7 +128,10 @@ func (lp *lpRun) migrateOutBatch(batch []*simObject, to int) {
 		lp.objs = lp.objs[:last]
 		lp.local[o.id] = nil
 		lp.outbound[o.id] = to
+		o.onHist, o.onLazy = false, false
 	}
+	lp.hist = lp.hostedOnly(lp.hist)
+	lp.lazy = lp.hostedOnly(lp.lazy)
 	lp.rebuildSched()
 
 	c := &capsule{from: lp.id, items: make([]capsuleItem, 0, len(batch))}
@@ -214,6 +219,8 @@ func (lp *lpRun) install(p comm.Packet) {
 		// host's pool from now on.
 		o.out.Rebind(lp.emitAnti, &lp.st, lp.pool)
 		bindObjectHooks(lp, o)
+		o.noteHistory()
+		o.noteLazy()
 
 		if lp.au != nil {
 			o.au = lp.au.Adopt(o.au, o.id)
@@ -225,6 +232,19 @@ func (lp *lpRun) install(p comm.Packet) {
 		epoch := lp.k.rt.Move(int(o.id), lp.id)
 		lp.tr.Migration(int32(o.id), int32(c.from), int64(it.pending), int64(epoch))
 	}
+}
+
+// hostedOnly filters an active list down to the objects this LP still hosts,
+// reusing its storage.
+func (lp *lpRun) hostedOnly(list []*simObject) []*simObject {
+	kept := list[:0]
+	for _, o := range list {
+		if lp.local[o.id] == o {
+			kept = append(kept, o)
+		}
+	}
+	clear(list[len(kept):])
+	return kept
 }
 
 // rebuildSched reassigns dense slots and rebuilds the schedule heap after

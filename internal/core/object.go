@@ -71,6 +71,10 @@ type simObject struct {
 
 	rollbacks int64
 
+	// onHist and onLazy mark membership in the hosting LP's history and
+	// lazy lists (see lpRun.hist).
+	onHist, onLazy bool
+
 	// au is this object's invariant-audit recorder (nil when auditing is
 	// disabled).
 	au *audit.ObjectAudit
@@ -79,6 +83,35 @@ type simObject struct {
 // absProcessed returns the absolute index one past the last processed event.
 func (o *simObject) absProcessed() int64 {
 	return o.processedBase + int64(len(o.processed))
+}
+
+// noteHistory puts o on its LP's history list: it has executed, parked an
+// orphan, been initialised or been installed, so fossil collection may find
+// work in it again.
+func (o *simObject) noteHistory() {
+	if !o.onHist {
+		o.onHist = true
+		o.lp.hist = append(o.lp.hist, o)
+	}
+}
+
+// noteLazy puts o on its LP's lazy list if it holds parked lazy outputs.
+func (o *simObject) noteLazy() {
+	if !o.onLazy && o.out.PendingLen() > 0 {
+		o.onLazy = true
+		o.lp.lazy = append(o.lp.lazy, o)
+	}
+}
+
+// quiescent reports whether fossil collection has nothing left to do in o at
+// any later GVT: everything it processed is committed, it holds one snapshot
+// and no processed event before that snapshot's mark, its output queue is
+// empty and it holds no orphans. Only execution, an orphan, initialisation
+// or installation can change that, and each puts o back on the history list.
+func (o *simObject) quiescent() bool {
+	return o.committedAbs == o.absProcessed() &&
+		o.stateQ.Len() == 1 && o.stateQ.OldestMark() <= o.processedBase &&
+		o.out.SentLen() == 0 && len(o.orphans) == 0
 }
 
 // nextTime returns the receive time of the next unprocessed event, or
@@ -138,6 +171,7 @@ func (o *simObject) deliverAnti(anti *event.Event) {
 		return
 	}
 	o.orphans[id] = anti
+	o.noteHistory()
 }
 
 // processedHas reports whether the positive counterpart of anti is in the
@@ -180,6 +214,7 @@ func (o *simObject) rollback(straggler *event.Event, isAnti bool) {
 	// legitimately reports zero here.
 	antiBase := lp.st.AntiMsgsSent
 	o.out.OnRollback(straggler)
+	o.noteLazy()
 
 	// Requeue the suffix of processed events ordered after the straggler.
 	k := len(o.processed)
@@ -272,6 +307,7 @@ func (o *simObject) executeNext() {
 	o.processed = append(o.processed, ev)
 	o.lastExec = ev
 	o.lvt = ev.RecvTime
+	o.noteHistory()
 	lp.st.EventsProcessed++
 	if lp.ld != nil {
 		lp.ld.exec[o.id]++
@@ -317,7 +353,9 @@ func (o *simObject) execApp(e *event.Event) {
 // MinPending, a held-down GVT pins the horizon, and a pinned horizon forbids
 // the very execution that would resolve the output; with every LP's next
 // event past the horizon the run would otherwise deadlock. See
-// cancel.Manager.Drain for why early draining is safe.
+// cancel.Manager.Drain for why early draining is safe. The LP calls it only
+// for objects on its lazy list (lpRun.drainStale) and for objects about to
+// migrate.
 func (o *simObject) drainStale() {
 	if o.out.PendingLen() == 0 {
 		return
@@ -331,7 +369,8 @@ func (o *simObject) drainStale() {
 // fossilCollect reclaims history below GVT: old snapshots, committed
 // processed events no snapshot can coast from, output records, and stale
 // orphans. Commit accounting happens here because an event is committed
-// exactly when GVT passes its receive time.
+// exactly when GVT passes its receive time. The LP calls it only for objects
+// on its history list; on a quiescent object it would change nothing.
 func (o *simObject) fossilCollect(gvt vtime.Time) {
 	lp := o.lp
 	lp.st.FossilCollected += int64(o.stateQ.FossilCollect(gvt))

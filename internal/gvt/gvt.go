@@ -45,6 +45,7 @@ type Manager struct {
 	epoch      uint64
 	inProgress bool // initiator only
 	lastStart  time.Time
+	due        time.Time // clock reading of the last Due that reported true
 	startedAt  time.Time
 	gvt        vtime.Time
 
@@ -93,26 +94,37 @@ func (m *Manager) next() int { return (m.lp + 1) % m.numLPs }
 // red returns the color LPs flip to during epoch e.
 func red(e uint64) uint8 { return uint8(e & 1) }
 
-// MaybeInitiate starts a new computation if this LP is the initiator, none
-// is in progress, and the period has elapsed (or force is set — used when
-// the LP has gone idle and progress now depends on GVT advancing). localMin
-// is the LP's current local virtual-time minimum. With a single LP the
-// result is immediate: it returns (localMin, true); otherwise found is
-// reported by a later OnToken call.
-func (m *Manager) MaybeInitiate(localMin vtime.Time, force bool) (g vtime.Time, found bool) {
+// Due reports whether this LP should start a new computation now: it is the
+// initiator, none is in progress, and the period has elapsed (or force is
+// set — used when the LP has gone idle and progress now depends on GVT
+// advancing). It reads the clock once; when it reports true the caller
+// computes its local minimum and passes it to Initiate. Splitting the check
+// from the initiation keeps the local-minimum scan off every call that
+// finds no cycle due.
+func (m *Manager) Due(force bool) bool {
 	if m.lp != 0 || m.inProgress {
-		return 0, false
+		return false
 	}
-	elapsed := time.Since(m.lastStart)
+	now := time.Now()
+	elapsed := now.Sub(m.lastStart)
 	if !force && elapsed < m.period {
-		return 0, false
+		return false
 	}
 	if force && elapsed < m.period/8 {
 		// Idle LPs force GVT so termination is detected promptly, but a
 		// floor keeps an idle initiator from spinning the token nonstop.
-		return 0, false
+		return false
 	}
-	m.lastStart = time.Now()
+	m.due = now
+	return true
+}
+
+// Initiate starts the computation Due just reported due; localMin is the
+// LP's current local virtual-time minimum. With a single LP the result is
+// immediate: it returns (localMin, true); otherwise found is reported by a
+// later OnToken call.
+func (m *Manager) Initiate(localMin vtime.Time) (g vtime.Time, found bool) {
+	m.lastStart = m.due
 	m.startedAt = m.lastStart
 	if m.numLPs == 1 {
 		if m.Audit != nil {

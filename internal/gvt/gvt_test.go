@@ -65,7 +65,7 @@ func (r *ring) pump(t *testing.T, localMin func(lp int) vtime.Time) (vtime.Time,
 
 func TestSingleLPShortCircuit(t *testing.T) {
 	r := newRing(1)
-	g, found := r.mgrs[0].MaybeInitiate(42, true)
+	g, found := maybeInitiate(r.mgrs[0], 42, true)
 	if !found || g != 42 {
 		t.Fatalf("single-LP GVT = (%s,%v)", g, found)
 	}
@@ -77,7 +77,7 @@ func TestSingleLPShortCircuit(t *testing.T) {
 func TestQuiescentRing(t *testing.T) {
 	r := newRing(4)
 	mins := []vtime.Time{30, 10, 20, 40}
-	if _, found := r.mgrs[0].MaybeInitiate(mins[0], true); found {
+	if _, found := maybeInitiate(r.mgrs[0], mins[0], true); found {
 		t.Fatal("multi-LP initiation cannot complete immediately")
 	}
 	g, found := r.pump(t, func(lp int) vtime.Time { return mins[lp] })
@@ -91,7 +91,7 @@ func TestInTransitMessageHoldsGVT(t *testing.T) {
 	// LP1 sends a white message at receive time 5 that LP2 has not decoded.
 	r.eps[1].Send(eventStub(5), 2, false)
 
-	if _, found := r.mgrs[0].MaybeInitiate(100, true); found {
+	if _, found := maybeInitiate(r.mgrs[0], 100, true); found {
 		t.Fatal("unexpected immediate completion")
 	}
 	// Pump, decoding delivered events (pump decodes, so the white message
@@ -120,7 +120,7 @@ func TestRedMessageMinimumRespected(t *testing.T) {
 	r := newRing(2)
 	r.eps[0].Send(eventStub(5), 1, false) // white, in LP1's inbox, undecoded
 
-	if _, found := r.mgrs[0].MaybeInitiate(100, true); found {
+	if _, found := maybeInitiate(r.mgrs[0], 100, true); found {
 		t.Fatal("unexpected immediate completion")
 	}
 	// LP1 handles its inbox in FIFO order: first the white events packet,
@@ -159,15 +159,15 @@ func TestRedMessageMinimumRespected(t *testing.T) {
 
 func TestPeriodThrottling(t *testing.T) {
 	r := newRingWithPeriod(2, time.Hour)
-	if _, found := r.mgrs[0].MaybeInitiate(1, false); found {
+	if _, found := maybeInitiate(r.mgrs[0], 1, false); found {
 		t.Fatal("found without a round trip")
 	}
 	// inProgress: no re-initiation even when forced.
-	if g, found := r.mgrs[0].MaybeInitiate(1, true); found || g != 0 {
+	if g, found := maybeInitiate(r.mgrs[0], 1, true); found || g != 0 {
 		t.Fatal("re-initiated while in progress")
 	}
 	// Non-initiators never initiate.
-	if _, found := r.mgrs[1].MaybeInitiate(1, true); found {
+	if _, found := maybeInitiate(r.mgrs[1], 1, true); found {
 		t.Fatal("non-initiator initiated")
 	}
 }
@@ -176,13 +176,13 @@ func TestForceFloor(t *testing.T) {
 	r := newRingWithPeriod(2, time.Hour)
 	// Fresh manager: lastStart is zero, so even the forced floor (period/8)
 	// has long elapsed and a forced initiation must proceed.
-	r.mgrs[0].MaybeInitiate(50, true)
+	maybeInitiate(r.mgrs[0], 50, true)
 	g, found := r.pump(t, func(lp int) vtime.Time { return 50 })
 	if !found || g != 50 {
 		t.Fatalf("GVT = (%s,%v)", g, found)
 	}
 	// Immediately after completing: forced initiation is floored.
-	if _, found := r.mgrs[0].MaybeInitiate(1, true); found {
+	if _, found := maybeInitiate(r.mgrs[0], 1, true); found {
 		t.Fatal("forced initiation ignored the floor")
 	}
 	select {
@@ -208,7 +208,7 @@ func TestRepeatedComputations(t *testing.T) {
 	r := newRing(3)
 	for epoch := 1; epoch <= 6; epoch++ {
 		min := vtime.Time(epoch * 10)
-		if _, found := r.mgrs[0].MaybeInitiate(min, true); found {
+		if _, found := maybeInitiate(r.mgrs[0], min, true); found {
 			t.Fatal("unexpected immediate completion")
 		}
 		g, found := r.pump(t, func(lp int) vtime.Time { return min })
@@ -225,6 +225,15 @@ func TestRepeatedComputations(t *testing.T) {
 	if r.st[0].GVTCycles != 6 {
 		t.Errorf("GVTCycles = %d", r.st[0].GVTCycles)
 	}
+}
+
+// maybeInitiate is the initiator's two-step call sequence: initiate with
+// localMin when a computation is due.
+func maybeInitiate(m *Manager, localMin vtime.Time, force bool) (vtime.Time, bool) {
+	if !m.Due(force) {
+		return 0, false
+	}
+	return m.Initiate(localMin)
 }
 
 // eventStub builds a minimal positive event with the given receive time.
